@@ -53,7 +53,7 @@ why the kernel deliberately avoids them.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -180,6 +180,10 @@ class FillOperator:
         truncating under-specified policy).
     underdetermined:
         The CASE-3 policy the operator was built under.
+    known_indices:
+        Sorted positions of the known entries (read-only; derived from
+        ``hole_indices`` once, at construction, because the serving
+        path gathers by it on every cached apply).
     """
 
     hole_indices: Tuple[int, ...]
@@ -189,6 +193,14 @@ class FillOperator:
     case: str
     rules_used: int
     underdetermined: str
+    known_indices: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = np.ones(self.n_cols, dtype=bool)
+        mask[list(self.hole_indices)] = False
+        known = np.nonzero(mask)[0]
+        known.setflags(write=False)
+        object.__setattr__(self, "known_indices", known)
 
     @property
     def n_holes(self) -> int:
@@ -199,13 +211,6 @@ class FillOperator:
     def n_known(self) -> int:
         """Number of known entries in the pattern."""
         return self.n_cols - len(self.hole_indices)
-
-    @property
-    def known_indices(self) -> np.ndarray:
-        """Sorted positions of the known entries."""
-        mask = np.ones(self.n_cols, dtype=bool)
-        mask[list(self.hole_indices)] = False
-        return np.nonzero(mask)[0]
 
     def predict(self, centered_known_rows: np.ndarray) -> np.ndarray:
         """Centered hole predictions for ``n x (M - h)`` centered knowns."""

@@ -6,12 +6,17 @@
 1. takes **one** atomic model snapshot from the registry (so the whole
    batch -- and the metadata on the result -- is attributable to
    exactly one published version);
-2. groups the incoming rows by hole pattern (``numpy.unique`` over the
-   NaN mask, vectorized);
+2. groups the incoming rows by hole pattern (one ``numpy.unique`` over
+   the NaN mask's rows packed into bytes, see :func:`group_hole_patterns`);
 3. fetches each pattern's precomputed
    :class:`~repro.core.reconstruction.FillOperator` from the LRU cache
    (computing it once on a cold pattern);
 4. applies each operator to its whole group with a single kernel call.
+
+The first batch served from a newer registry version evicts the
+previous version's operators from the cache (they can never be hit
+again), so retired versions do not stay resident until LRU ages them
+out.
 
 Exactness: the apply kernel
 (:func:`~repro.core.reconstruction.apply_fill_operator`) produces rows
@@ -28,6 +33,7 @@ copied through untouched and never touch the operator cache.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -45,7 +51,32 @@ from repro.obs.tracing import span
 from repro.serve.cache import OperatorCache
 from repro.serve.registry import ModelRegistry, PublishedModel
 
-__all__ = ["BatchFillResult", "BatchFiller"]
+__all__ = ["BatchFillResult", "BatchFiller", "group_hole_patterns"]
+
+
+def group_hole_patterns(
+    hole_mask: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of an ``N x M`` boolean mask by identical pattern.
+
+    Returns ``(first, inverse, counts)``: the first row holding each
+    distinct pattern, each row's group number, and each group's size.
+    Groups come in the order of ``numpy.unique(hole_mask, axis=0)``
+    (lexicographic, ``False < True``), so ``hole_mask[first]`` and
+    ``inverse`` equal that call's unique rows and inverse.
+
+    Each row is packed into ``ceil(M / 8)`` bytes (big-endian bit
+    order, zero padding) and viewed as one opaque ``numpy.void``
+    scalar, so the sort compares one memcmp key per row instead of a
+    structured record field by field.  Big-endian packing keeps the
+    lexicographic order of the unpacked rows.
+    """
+    packed = np.packbits(hole_mask, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, inverse, counts
 
 
 @dataclass(frozen=True)
@@ -146,24 +177,37 @@ class BatchFiller:
             if cache is not None
             else OperatorCache(cache_entries, metrics=self.metrics)
         )
+        self._served_lock = threading.Lock()
+        self._newest_served = 0
 
     # -- serving -----------------------------------------------------------
 
-    def fill_batch(self, matrix: np.ndarray) -> BatchFillResult:
+    def fill_batch(
+        self, matrix: np.ndarray, *, scale: Optional[np.ndarray] = None
+    ) -> BatchFillResult:
         """Fill every NaN in an ``N x M`` request batch.
 
         The model snapshot is taken once up front; a concurrent
         hot-swap affects only *later* batches.
+
+        ``scale`` is an optional ``N x M`` array of what-if factors:
+        every cell where it is not NaN is served as the known value
+        ``means_[j] * scale[i, j]`` of the snapshot this batch pins, so
+        a scaled baseline and the fill around it always come from the
+        one version the result names.
         """
         with span("serve.fill_batch") as batch_span, Stopwatch() as watch:
             snapshot = self.registry.current()
             filled, cases, group_sizes, n_holes = self._fill_against(
-                snapshot, matrix
+                snapshot, matrix, scale
             )
             batch_span.set_attr("version", snapshot.version)
             batch_span.set_attr("rows", filled.shape[0])
             batch_span.set_attr("groups", len(group_sizes))
             batch_span.set_attr("holes_filled", n_holes)
+        retired = self._retired_version(snapshot.version)
+        if retired is not None:
+            self.cache.evict_version(retired)
         self.metrics.record_batch(
             n_rows=filled.shape[0],
             n_rows_filled=sum(
@@ -235,6 +279,20 @@ class BatchFiller:
 
     # -- internals ---------------------------------------------------------
 
+    def _retired_version(self, version: int) -> Optional[int]:
+        """The version whose cached operators just went stale, if any.
+
+        The first batch served from a newer version retires the
+        previously newest one; a straggler batch still pinned to an
+        older snapshot (taken just before a swap) retires its own.
+        """
+        with self._served_lock:
+            newest = self._newest_served
+            if version > newest:
+                self._newest_served = version
+                return newest or None
+            return version if version < newest else None
+
     @staticmethod
     def _validate(snapshot: PublishedModel, matrix: np.ndarray) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -251,11 +309,25 @@ class BatchFiller:
         return matrix
 
     def _fill_against(
-        self, snapshot: PublishedModel, matrix: np.ndarray
+        self,
+        snapshot: PublishedModel,
+        matrix: np.ndarray,
+        scale: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Tuple[str, ...], list, int]:
         matrix = self._validate(snapshot, matrix)
         model = snapshot.model
         means = model.means_
+        if scale is not None:
+            scale = np.asarray(scale, dtype=np.float64)
+            if scale.shape != matrix.shape:
+                raise ValueError(
+                    f"scale has shape {scale.shape}; the batch is "
+                    f"{matrix.shape}"
+                )
+            with np.errstate(over="ignore"):
+                matrix = np.where(np.isnan(scale), matrix, means * scale)
+            if np.isinf(matrix).any():
+                raise ValueError("a scaled cell is infinite")
         rules = model.rules_matrix  # one copy for the whole batch
         n_cols = matrix.shape[1]
         filled = matrix.copy()
@@ -266,23 +338,24 @@ class BatchFiller:
             return filled, tuple(cases), group_sizes, 0
 
         hole_mask = np.isnan(matrix)
-        unique_patterns, inverse = np.unique(
-            hole_mask, axis=0, return_inverse=True
-        )
-        for group, pattern_mask in enumerate(unique_patterns):
-            rows = np.nonzero(inverse == group)[0]
-            holes = np.nonzero(pattern_mask)[0]
+        first, inverse, counts = group_hole_patterns(hole_mask)
+        # Rows of group g, ascending: order[stops[g] - counts[g]:stops[g]].
+        order = np.argsort(inverse, kind="stable")
+        stops = np.cumsum(counts).tolist()
+        for first_row, count, stop in zip(first.tolist(), counts.tolist(), stops):
+            holes = np.flatnonzero(hole_mask[first_row])
             if holes.size == 0:
                 # Documented no-op fast path: complete rows pass
                 # through untouched and never touch the cache.
                 continue
+            rows = order[stop - count:stop]
             if holes.size == n_cols:
                 filled[rows] = means
-                for i in rows:
+                for i in rows.tolist():
                     cases[i] = CASE_ALL_HOLES
                 n_holes_filled += int(rows.size) * n_cols
                 continue
-            pattern = tuple(int(i) for i in holes)
+            pattern = tuple(holes.tolist())
             key = (snapshot.version, pattern, self.underdetermined)
             with span(
                 "serve.group_apply", rows=int(rows.size), holes=len(pattern)
@@ -295,11 +368,10 @@ class BatchFiller:
                     ),
                 )
                 known = fill_op.known_indices
-                centered = matrix[np.ix_(rows, known)] - means[known]
-                filled[np.ix_(rows, holes)] = (
-                    fill_op.predict(centered) + means[holes]
-                )
-            for i in rows:
+                column = rows[:, None]  # broadcasts like np.ix_, cheaper
+                centered = matrix[column, known] - means[known]
+                filled[column, holes] = fill_op.predict(centered) + means[holes]
+            for i in rows.tolist():
                 cases[i] = fill_op.case
             group_sizes.append(int(rows.size))
             n_holes_filled += int(rows.size) * int(holes.size)

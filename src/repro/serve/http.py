@@ -160,6 +160,9 @@ class _Ticket:
     row: np.ndarray
     deadline: float
     enqueued_at: float
+    #: What-if factors (NaN = not scaled), resolved against the model
+    #: the flush pins; see :meth:`DeadlineCoalescer.submit`.
+    scale: Optional[np.ndarray] = None
     done: threading.Event = field(default_factory=threading.Event)
     result: Optional[CoalescedFill] = None
     error: Optional[BaseException] = None
@@ -259,11 +262,23 @@ class DeadlineCoalescer:
 
     # -- request side ------------------------------------------------------
 
-    def submit(self, row: np.ndarray, timeout: float) -> _Ticket:
+    def submit(
+        self,
+        row: np.ndarray,
+        timeout: float,
+        *,
+        scale: Optional[np.ndarray] = None,
+    ) -> _Ticket:
         """Enqueue one row; returns the ticket to wait on.
 
         Timeouts are clamped to :data:`MAX_TIMEOUT_SECONDS` so a queued
         deadline can never overflow the batcher's condition wait.
+
+        ``scale`` optionally carries what-if factors aligned with the
+        row (NaN = not scaled).  They stay factors until the flush,
+        which serves each scaled cell as ``means_[j] * factor`` of the
+        model it pins (see :meth:`~repro.serve.BatchFiller.fill_batch`),
+        so a hot swap between admission and flush cannot mix versions.
 
         Raises
         ------
@@ -289,6 +304,7 @@ class DeadlineCoalescer:
             row=np.asarray(row, dtype=np.float64),
             deadline=now + min(float(timeout), MAX_TIMEOUT_SECONDS),
             enqueued_at=now,
+            scale=None if scale is None else np.asarray(scale, np.float64),
         )
         with self._wake:
             if not self.running:
@@ -303,13 +319,19 @@ class DeadlineCoalescer:
             self._wake.notify_all()
         return ticket
 
-    def fill(self, row: np.ndarray, timeout: float) -> CoalescedFill:
+    def fill(
+        self,
+        row: np.ndarray,
+        timeout: float,
+        *,
+        scale: Optional[np.ndarray] = None,
+    ) -> CoalescedFill:
         """Submit one row and block until its micro-batch serves it.
 
         The wait is bounded by the deadline plus a generous compute
         grace; the batcher always resolves every drained ticket.
         """
-        ticket = self.submit(row, timeout)
+        ticket = self.submit(row, timeout, scale=scale)
         ticket.done.wait(max(0.0, ticket.deadline - time.monotonic()) + 30.0)
         if ticket.error is not None:
             raise ticket.error
@@ -397,9 +419,18 @@ class DeadlineCoalescer:
 
     def _serve_group(self, live: List[_Ticket], depth_after: int) -> None:
         try:
-            result = self.filler.fill_batch(
-                np.vstack([ticket.row for ticket in live])
-            )
+            matrix = np.vstack([ticket.row for ticket in live])
+            options: Dict[str, Any] = {}
+            if any(ticket.scale is not None for ticket in live):
+                options["scale"] = np.vstack(
+                    [
+                        ticket.scale
+                        if ticket.scale is not None
+                        else np.full_like(ticket.row, np.nan)
+                        for ticket in live
+                    ]
+                )
+            result = self.filler.fill_batch(matrix, **options)
         except BaseException as exc:
             if isinstance(exc, ValueError) and not isinstance(
                 exc, _BadRequest
@@ -495,6 +526,14 @@ def _parse_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
     return payload
 
 
+def _as_float(value: Union[int, float]) -> float:
+    """A JSON number as a float; integers beyond float range are inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_row(payload: Dict[str, Any], width: int) -> np.ndarray:
     """Decode ``{"row": [...]}``; ``null`` cells are holes (NaN)."""
     values = payload.get("row")
@@ -510,11 +549,11 @@ def _parse_row(payload: Dict[str, Any], width: int) -> np.ndarray:
         if cell is None:
             row[i] = np.nan
         elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
-            if math.isinf(cell):
+            row[i] = _as_float(cell)
+            if math.isinf(row[i]):
                 raise _BadRequest(
                     f'"row" cell {i} is infinite; holes must be null'
                 )
-            row[i] = float(cell)
         else:
             raise _BadRequest(
                 f'"row" cell {i} must be a number or null, '
@@ -536,7 +575,12 @@ def _parse_assignments(
                 f'"{key}"["{name}"] must be a number, '
                 f"got {type(value).__name__}"
             )
-        parsed[str(name)] = float(value)
+        number = _as_float(value)
+        if math.isinf(number):
+            # An infinite cell would fail the whole micro-batch at the
+            # flush; reject it here, as _parse_row does.
+            raise _BadRequest(f'"{key}"["{name}"] is infinite')
+        parsed[str(name)] = number
     return parsed
 
 
@@ -548,6 +592,11 @@ class _ApiHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
 
+    # Keep-alive responses must not wait on Nagle's algorithm: with it
+    # on, each small response sits in the kernel until the client's
+    # delayed ACK arrives (~40 ms).
+    disable_nagle_algorithm = True
+
     # -- plumbing ----------------------------------------------------------
 
     def _respond(
@@ -557,18 +606,13 @@ class _ApiHandler(BaseHTTPRequestHandler):
         *,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            # Tell the client this keep-alive connection is going away
-            # (set when the request body could not be fully consumed).
-            self.send_header("Connection", "close")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        HttpService.write_response(
+            self,
+            status,
+            json.dumps(payload).encode("utf-8"),
+            "application/json; charset=utf-8",
+            headers,
+        )
 
     def _error(
         self,
@@ -708,7 +752,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
         self._respond(
             200,
             {
-                "filled": [float(v) for v in outcome.filled],
+                "filled": outcome.filled.tolist(),
                 "case": outcome.case,
                 "version": outcome.version,
                 "fingerprint": outcome.fingerprint,
@@ -733,16 +777,21 @@ class _ApiHandler(BaseHTTPRequestHandler):
             raise _BadRequest(
                 f"attributes both set and scaled: {sorted(overlap)}"
             )
-        baselines = dict(zip(schema.names, snapshot.model.means_))
         row = np.full(schema.width, np.nan)
+        # A scaled attribute's baseline is the mean of the model that
+        # serves the row, which is the one current at the flush, not
+        # now: the factor travels to the flush as is.
+        factors = np.full(schema.width, np.nan) if scaled else None
         try:
             for name, value in fixed.items():
                 row[schema.index_of(name)] = value
             for name, factor in scaled.items():
-                row[schema.index_of(name)] = baselines[name] * factor
+                factors[schema.index_of(name)] = factor
         except KeyError as exc:
             raise _BadRequest(f"unknown attribute: {exc}") from None
-        outcome = state.coalescer.fill(row, self._timeout_seconds(payload))
+        outcome = state.coalescer.fill(
+            row, self._timeout_seconds(payload), scale=factors
+        )
         self._respond(
             200,
             {

@@ -114,3 +114,39 @@ def assert_eigenpairs_valid(matrix, eigenvalues, eigenvectors, atol=1e-8):
     assert np.linalg.norm(residual) / scale < atol
     gram = eigenvectors.T @ eigenvectors
     np.testing.assert_allclose(gram, np.eye(eigenvectors.shape[1]), atol=1e-7)
+
+
+# -- HTTP response recording (plain helpers, import freely) ----------------
+
+
+class RecordingWriter:
+    """Wraps a request handler's ``wfile`` and records every write."""
+
+    def __init__(self, inner, writes: list) -> None:
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
+
+
+def recording_service(service_class, writes: list):
+    """``service_class`` (an ``HttpService``) whose request handlers
+    append every ``wfile.write`` payload to ``writes``."""
+
+    class Recording(service_class):
+        def _handler_class(self):
+            base = super()._handler_class()
+
+            class Handler(base):
+                def setup(self) -> None:
+                    super().setup()
+                    self.wfile = RecordingWriter(self.wfile, writes)
+
+            return Handler
+
+    return Recording

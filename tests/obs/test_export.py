@@ -33,6 +33,8 @@ from repro.obs.registry import (
     register_serve_metrics,
 )
 
+from tests.conftest import recording_service
+
 pytestmark = pytest.mark.obs
 
 _METRIC_LINE = re.compile(
@@ -285,6 +287,26 @@ class TestMetricsServer:
     def test_is_an_http_service(self):
         """The shared lifecycle shell, not a private reimplementation."""
         assert issubclass(MetricsServer, HttpService)
+
+    def test_every_response_is_one_write(self):
+        """Scrapes and 404s both go through the shared single-write
+        helper: status line, headers and body in one ``wfile.write``."""
+        writes: list = []
+        registry = MetricsRegistry()
+        registry.counter("hits_total", "Hits.").inc(2)
+        with recording_service(MetricsServer, writes)(registry, port=0) as server:
+            base = f"http://{server.host}:{server.port}"
+            for path in ("/metrics", "/metrics.json"):
+                with urllib.request.urlopen(base + path, timeout=5) as reply:
+                    reply.read()
+            with pytest.raises(urllib.error.HTTPError):
+                urllib.request.urlopen(base + "/nope", timeout=5)
+        assert [w.split(b" ", 2)[1] for w in writes] == [b"200", b"200", b"404"]
+        for write in writes:
+            head, sep, body = write.partition(b"\r\n\r\n")
+            assert sep
+            length = re.search(rb"Content-Length: (\d+)", head).group(1)
+            assert int(length) == len(body) > 0
 
 
 class _PingService(HttpService):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.model import RatioRuleModel
 from repro.core.reconstruction import (
     CASE_ALL_HOLES,
     CASE_NO_HOLES,
@@ -12,6 +13,7 @@ from repro.core.reconstruction import (
 )
 from repro.obs.metrics import ServeMetrics
 from repro.serve import BatchFiller, ModelRegistry, OperatorCache
+from repro.serve.batch import group_hole_patterns
 
 from tests.serve.conftest import make_rank2_matrix, punch_holes
 
@@ -126,8 +128,28 @@ class TestAttribution:
         entries_v1 = len(filler.cache)
         registry.publish(retrained_model)
         filler.fill_batch(holey_batch)
-        assert len(filler.cache) == 2 * entries_v1
-        assert filler.cache.evict_version(1) == entries_v1
+        # Serving v2 for the first time evicts every retired v1
+        # operator; v2 caches the same patterns under its own keys.
+        assert not any(key[0] == 1 for key in filler.cache._entries)
+        assert filler.cache.evict_version(1) == 0
+        assert len(filler.cache) == entries_v1
+        assert all(key[0] == 2 for key in filler.cache._entries)
+
+    def test_straggler_batch_on_a_retired_version_is_evicted(
+        self, served_model, retrained_model, holey_batch, monkeypatch
+    ):
+        registry = ModelRegistry(served_model)
+        filler = BatchFiller(registry)
+        stale = registry.current()
+        registry.publish(retrained_model)
+        filler.fill_batch(holey_batch)
+        entries_v2 = len(filler.cache)
+        # A batch that took its v1 snapshot just before the swap still
+        # serves v1, but leaves none of its operators behind.
+        monkeypatch.setattr(registry, "current", lambda: stale)
+        assert filler.fill_batch(holey_batch).version == 1
+        assert len(filler.cache) == entries_v2
+        assert filler.cache.evict_version(1) == 0
 
 
 class TestSharingAndValidation:
@@ -164,6 +186,90 @@ class TestSharingAndValidation:
     def test_bad_underdetermined_policy_rejected(self, served_model):
         with pytest.raises(ValueError, match="underdetermined"):
             BatchFiller(served_model, underdetermined="zero")
+
+
+class TestPatternGrouping:
+    """The packed-byte grouping against ``np.unique(mask, axis=0)``,
+    across widths on both sides of every byte boundary."""
+
+    WIDTHS = (1, 7, 8, 9, 64, 65, 100)
+
+    @staticmethod
+    def _masks(n_cols: int, seed: int) -> np.ndarray:
+        generator = np.random.default_rng(seed)
+        n_patterns = 12
+        patterns = generator.random((n_patterns, n_cols)) < 0.3
+        patterns[0] = False  # no holes
+        patterns[1] = True   # all holes
+        if n_cols > 1:
+            # Patterns differing only in the last column and in the
+            # first: the bits nearest the padding and the sign byte.
+            patterns[2] = patterns[3]
+            patterns[2, -1] = not patterns[3, -1]
+            patterns[4] = patterns[5]
+            patterns[4, 0] = not patterns[5, 0]
+        return patterns[generator.integers(0, n_patterns, 300)]
+
+    @pytest.mark.parametrize("n_cols", WIDTHS)
+    def test_groups_and_inverse_match_unique_axis0(self, n_cols):
+        mask = self._masks(n_cols, seed=n_cols)
+        expected, expected_inverse, expected_counts = np.unique(
+            mask, axis=0, return_inverse=True, return_counts=True
+        )
+        first, inverse, counts = group_hole_patterns(mask)
+        np.testing.assert_array_equal(mask[first], expected)
+        np.testing.assert_array_equal(inverse, expected_inverse.ravel())
+        np.testing.assert_array_equal(counts, expected_counts)
+        # ``first`` is each group's first row, in row order.
+        for group, row in enumerate(first):
+            assert row == np.flatnonzero(inverse == group)[0]
+
+    @pytest.mark.parametrize("n_cols", WIDTHS)
+    def test_fill_batch_bit_identical_to_reference(self, n_cols):
+        generator = np.random.default_rng(100 + n_cols)
+        factors = generator.normal(0.0, 1.0, (400, 3))
+        loadings = generator.normal(0.0, 1.0, (3, n_cols))
+        train = factors @ loadings + generator.normal(0.0, 0.1, (400, n_cols))
+        model = RatioRuleModel().fit(train + 10.0)
+        batch = train[:300] + 10.0
+        batch[self._masks(n_cols, seed=n_cols)] = np.nan
+        filler = BatchFiller(model)
+        fast = filler.fill_batch(batch)
+        reference = filler.fill_reference(batch)
+        np.testing.assert_array_equal(fast.filled, reference.filled)
+        assert fast.cases == reference.cases
+        assert fast.n_groups == reference.n_groups
+        assert not np.isnan(fast.filled).any()
+
+
+class TestScaledCells:
+    def test_scaled_cells_use_the_pinned_means(self, served_model):
+        filler = BatchFiller(served_model)
+        batch = np.full((2, 5), np.nan)
+        batch[0, 0] = 6.0
+        scale = np.full((2, 5), np.nan)
+        scale[0, 2] = 1.5
+        scale[1, 3] = 0.5
+        result = filler.fill_batch(batch, scale=scale)
+        expected = batch.copy()
+        expected[0, 2] = served_model.means_[2] * 1.5
+        expected[1, 3] = served_model.means_[3] * 0.5
+        np.testing.assert_array_equal(
+            result.filled, filler.fill_reference(expected).filled
+        )
+        assert result.filled[0, 2] == served_model.means_[2] * 1.5
+
+    def test_scale_shape_mismatch_rejected(self, served_model):
+        filler = BatchFiller(served_model)
+        with pytest.raises(ValueError, match="scale has shape"):
+            filler.fill_batch(np.zeros((2, 5)), scale=np.ones((1, 5)))
+
+    def test_overflowing_scale_rejected(self, served_model):
+        filler = BatchFiller(served_model)
+        with pytest.raises(ValueError, match="infinite"):
+            filler.fill_batch(
+                np.zeros((1, 5)), scale=np.array([[1e308] + [np.nan] * 4])
+            )
 
 
 class TestMetrics:

@@ -9,6 +9,7 @@ in-flight requests.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -120,3 +121,51 @@ def test_swap_between_batches_changes_served_version():
     after = filler.fill_batch(batch)
     assert (before.version, after.version) == (1, 2)
     assert not np.array_equal(before.filled, after.filled)
+
+
+def test_retired_versions_leave_no_operators_under_concurrent_fills():
+    """Eviction bookkeeping is shared by every thread that fills: once
+    the readers quiesce, no operator of a version older than the newest
+    served may stay resident, however fills and swaps interleaved."""
+    models = [
+        RatioRuleModel(cutoff=2).fit(make_rank2_matrix(200 + i))
+        for i in range(N_VERSIONS)
+    ]
+    batch = punch_holes(
+        make_rank2_matrix(56, n_rows=12), np.random.default_rng(56)
+    )
+    registry = ModelRegistry(models[0])
+    filler = BatchFiller(registry)
+    start = threading.Barrier(N_READERS + 1)
+    errors = []
+
+    def reader():
+        try:
+            start.wait(timeout=10.0)
+            for _ in range(FILLS_PER_READER):
+                filler.fill_batch(batch)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    def writer():
+        start.wait(timeout=10.0)
+        for model in models[1:]:
+            registry.publish(model)
+
+    threads = [threading.Thread(target=reader) for _ in range(N_READERS)]
+    threads.append(threading.Thread(target=writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    newest = filler.fill_batch(batch).version
+    assert newest == N_VERSIONS
+    resident = {key[0] for key in filler.cache._entries}
+    assert resident == {newest}

@@ -11,7 +11,10 @@ surface: validation (400), shedding (429), expiry (503), routing
 
 from __future__ import annotations
 
+import http.client
+import json
 import socket
+import statistics
 import threading
 import time
 
@@ -34,7 +37,9 @@ from repro.serve.http import (
     _Ticket,
 )
 
+from tests.conftest import recording_service
 from tests.serve.conftest import http_get, http_post, make_rank2_matrix
+from tests.serve.test_http_shedding import GatedFiller
 
 pytestmark = pytest.mark.serve
 
@@ -158,6 +163,57 @@ class TestWhatifEndpoint:
         for name in served_model.schema_.names:
             assert body["values"][name] == expected[name], name
 
+    def test_scaled_baseline_comes_from_the_flush_version(
+        self, served_model, retrained_model
+    ):
+        """Regression: a what-if admitted under v1 but flushed after v2
+        landed must scale v2's mean, fill with v2, and name v2 -- never
+        mix the two versions."""
+        registry = ModelRegistry(served_model)
+        api = HttpApiServer(
+            registry,
+            port=0,
+            max_batch_rows=2,
+            flush_margin=0.0,
+            default_timeout_ms=10_000.0,
+        )
+        api.start()
+        try:
+            answer = {}
+
+            def ask() -> None:
+                answer["response"] = http_post(
+                    api.url + "/v1/whatif",
+                    {"set": {"col0": 6.0}, "scale": {"col2": 1.5}},
+                )
+
+            asker = threading.Thread(target=ask)
+            asker.start()
+            deadline = time.monotonic() + 5.0
+            while len(api.coalescer._queue) < 1:
+                assert time.monotonic() < deadline, "what-if never queued"
+                time.sleep(0.002)
+            registry.publish(retrained_model)
+            # A second row fills the micro-batch and fires the flush.
+            fill_status, _, _ = http_post(
+                api.url + "/v1/fill", {"row": [None] * N_COLS}
+            )
+            asker.join(timeout=10.0)
+        finally:
+            api.stop()
+        assert fill_status == 200
+        status, body, _ = answer["response"]
+        assert status == 200
+        assert body["version"] == 2
+        assert body["fingerprint"] == retrained_model.fingerprint()
+        row = np.full(N_COLS, np.nan)
+        row[0] = 6.0
+        row[2] = retrained_model.means_[2] * 1.5
+        offline = BatchFiller(retrained_model).fill_batch(row[None, :])
+        for j, name in enumerate(retrained_model.schema_.names):
+            assert body["values"][name] == offline.filled[0, j], name
+        assert body["values"]["col2"] != served_model.means_[2] * 1.5
+
     @pytest.mark.parametrize(
         ("payload", "fragment"),
         [
@@ -167,6 +223,8 @@ class TestWhatifEndpoint:
              "both set and scaled"),
             ({"set": {"col0": "much"}}, "must be a number"),
             ({"set": [1, 2]}, "JSON object"),
+            ({"scale": {"col2": 1e999}}, "infinite"),
+            ({"set": {"col0": 10**400}}, "infinite"),
         ],
     )
     def test_validation_failures_are_400(self, server, payload, fragment):
@@ -356,6 +414,115 @@ class TestKeepAliveSafety:
                 response += chunk
         assert b"404" in response.split(b"\r\n", 1)[0]
         assert b"connection: close" in response.lower()
+
+
+class TestKeepAliveTransport:
+    """Keep-alive responses go out at once: TCP_NODELAY and one write
+    per response, so no response waits on the client's delayed ACK."""
+
+    def test_sequential_keepalive_fills_are_not_stalled(self, served_model):
+        api = HttpApiServer(served_model, port=0, max_batch_rows=1)
+        api.start()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", api.port, timeout=10
+        )
+        try:
+            row = make_rank2_matrix(5, n_rows=1)[0]
+            row[1] = np.nan
+            body = json.dumps({"row": _row_payload(row)})
+            latencies = []
+            for _ in range(50):
+                started = time.perf_counter()
+                connection.request("POST", "/v1/fill", body=body)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert payload["coalesced_rows"] == 1
+        finally:
+            connection.close()
+            api.stop()
+        # The Nagle/delayed-ACK stall this guards against costs ~40 ms
+        # per response; an unstalled request takes about 1-2 ms.
+        assert statistics.median(latencies) < 0.010
+
+    @staticmethod
+    def _check_single_write(write: bytes, status: int) -> None:
+        head, sep, body = write.partition(b"\r\n\r\n")
+        assert sep, "response head and body were split across writes"
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert int(headers["Content-Length"]) == len(body)
+        assert json.loads(body)
+
+    def test_every_response_is_one_write(self, served_model):
+        writes: list = []
+        filler = GatedFiller(served_model)
+        filler.release.set()
+        api = recording_service(HttpApiServer, writes)(
+            filler, port=0, max_batch_rows=1, flush_margin=0.0, queue_limit=1
+        )
+        api.start()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", api.port, timeout=10
+        )
+
+        def post(path: str, payload) -> int:
+            connection.request("POST", path, body=json.dumps(payload))
+            response = connection.getresponse()
+            response.read()
+            return response.status
+
+        fill = {"row": [None] + [1.0] * (N_COLS - 1)}
+        try:
+            expected = []
+            for path, payload, status in (
+                ("/v1/fill", fill, 200),
+                ("/v1/fill", {"row": [1.0]}, 400),
+                ("/v1/fill", dict(fill, timeout_ms=0), 503),
+                ("/v1/nope", {}, 404),
+            ):
+                assert post(path, payload) == status
+                expected.append(status)
+                assert len(writes) == len(expected)
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+            expected.append(200)
+            # 429: one flush parked in the filler, one row queued, and
+            # the queue (limit 1) is full for the next.
+            filler.entered.clear()
+            filler.release.clear()
+            parked_statuses: list = []
+
+            def park() -> None:
+                parked_statuses.append(http_post(api.url + "/v1/fill", fill)[0])
+
+            first = threading.Thread(target=park)
+            first.start()
+            assert filler.entered.wait(timeout=5.0)
+            second = threading.Thread(target=park)
+            second.start()
+            deadline = time.monotonic() + 5.0
+            while len(api.coalescer._queue) < 1:
+                assert time.monotonic() < deadline, "row never queued"
+                time.sleep(0.002)
+            assert post("/v1/fill", fill) == 429
+            expected.append(429)
+            filler.release.set()
+            first.join(timeout=10.0)
+            second.join(timeout=10.0)
+            expected.extend([200, 200])
+        finally:
+            filler.release.set()
+            connection.close()
+            api.stop()
+        assert parked_statuses == [200, 200]
+        assert len(writes) == len(expected)
+        statuses = [int(write.split(b" ", 2)[1]) for write in writes]
+        assert sorted(statuses) == sorted(expected)
+        for write, status in zip(writes, statuses):
+            self._check_single_write(write, status)
 
 
 class TestServerLifecycle:
